@@ -1,8 +1,8 @@
 // Supporting microbenchmarks (google-benchmark): throughput of the
 // kernels every experiment rests on — matmul, conv3d, FFT, DNS step,
 // latent-grid encode, continuous decode, ring all-reduce — plus ablation
-// sweeps over decoder width and latent channels (the design knobs called
-// out in DESIGN.md Sec. 5).
+// sweeps over decoder width and latent channels (the decoder's design
+// knobs, DecoderConfig in core/decoder.h).
 #include <benchmark/benchmark.h>
 
 #include "autodiff/variable.h"

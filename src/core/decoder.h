@@ -9,9 +9,20 @@
 // Because Phi is smooth (softplus), the spatio-temporal derivatives of the
 // output needed by the PDE equation loss are computed *exactly* by
 // forward-mode propagation of (value, tangent, curvature) triples through
-// the MLP — and because that propagation is itself built from tape ops,
-// reverse-mode through it yields the parameter gradients of the equation
-// loss (the paper's "backpropagation through the derivative computation").
+// the MLP. That propagation is one fused kernel (core/decoder_jet.h), shared
+// with the serving DecodePlan; in training it is a single tape node whose
+// hand-derived reverse pass gives the parameter and latent gradients of the
+// equation loss (the paper's "backpropagation through the derivative
+// computation").
+//
+// Why softplus and not the ReLU of a plain MLP: the equation loss needs the
+// second derivatives d2/dz2 and d2/dx2 (the diffusive terms). A ReLU MLP is
+// piecewise linear: f'' = 0, every curvature stream inside the MLP is zero,
+// and the second derivatives reduce to the blend's cross term
+// sum_j 2 dw_j t_j, so the diffusive terms never see the network's own
+// curvature. Softplus is the smooth ReLU (softplus(x) -> relu(x) as |x|
+// grows): same network shape, with f'' = sigmoid'(x) > 0. ReLU stays
+// selectable for ablations.
 //
 // Derivative conventions: query coordinates are continuous LR-grid indices
 // (t, z, x); all derivatives returned here are per index unit. Conversion
@@ -32,8 +43,8 @@ struct DecoderConfig {
   std::int64_t latent_channels = 32;
   std::int64_t out_channels = 4;  // {p, T, u, w}
   std::vector<std::int64_t> hidden = {64, 64};
-  /// Must be smooth for non-zero second derivatives; see DESIGN.md on the
-  /// softplus-for-ReLU substitution.
+  /// Must be smooth for non-zero second derivatives; see the
+  /// softplus-for-ReLU note at the top of this file.
   nn::Activation activation = nn::Activation::kSoftplus;
 };
 
@@ -60,7 +71,10 @@ class ContinuousDecoder : public nn::Module {
   ad::Var decode(const ad::Var& latent, const Tensor& query_coords);
 
   /// Decode with forward-mode first and second coordinate derivatives.
-  /// Accepts the same batched/unbatched query layouts as decode().
+  /// Accepts the same batched/unbatched query layouts as decode(). One
+  /// DecoderJet pass; with a tape, one node whose backward is the jet's
+  /// hand-derived reverse pass. fp32 outputs are bitwise equal to
+  /// DecodePlan::execute_derivatives.
   DecodeDerivs decode_with_derivatives(const ad::Var& latent,
                                        const Tensor& query_coords);
 
@@ -68,7 +82,11 @@ class ContinuousDecoder : public nn::Module {
   nn::MLP& mlp() { return *mlp_; }
 
  private:
-  /// Per-batch corner geometry shared by both decode paths.
+  /// Validates the latent / query shapes (see decode()); returns Q, the
+  /// queries per latent sample.
+  std::int64_t queries_per_sample(const ad::Var& latent,
+                                  const Tensor& query_coords) const;
+  /// Per-batch corner geometry of decode().
   struct CornerGeometry;
   CornerGeometry make_corners(const ad::Var& latent,
                               const Tensor& query_coords) const;

@@ -152,7 +152,7 @@ TEST(ContinuousDecoder, ReluAblationKillsSecondDerivatives) {
   DecodeDerivs ds = soft_dec.decode_with_derivatives(latent, coords);
   // first derivatives differ moderately, second derivatives differ in
   // structure: softplus MLP curvature is generically nonzero. This guards
-  // the design decision documented in DESIGN.md.
+  // the softplus-for-ReLU decision documented in core/decoder.h.
   EXPECT_GT(max_abs(ds.d2_dz2.value()), 0.0f);
   // both produce finite values
   EXPECT_TRUE(std::isfinite(static_cast<double>(max_abs(dr.d2_dz2.value()))));

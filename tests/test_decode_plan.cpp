@@ -16,6 +16,7 @@
 #include "backend/workspace.h"
 #include "core/decode_plan.h"
 #include "core/meshfree_flownet.h"
+#include "jet_oracle.h"
 #include "serve/engine.h"
 #include "serve/query_batcher.h"
 #include "threading/thread_pool.h"
@@ -184,20 +185,31 @@ TEST(DecodePlan, DerivativeReplayMatchesTapeBundle) {
   ASSERT_NE(plan, nullptr);
 
   const core::PlannedDerivs got = plan->execute_derivatives(latent, coords);
+  const Tensor* planned[6] = {&got.value, &got.d_dt,   &got.d_dz,
+                              &got.d_dx,  &got.d2_dz2, &got.d2_dx2};
   ad::NoGradGuard no_grad;
   ad::Var lv(latent, /*requires_grad=*/false);
-  const core::DecodeDerivs want =
-      model->decoder().decode_with_derivatives(lv, coords);
 
-  // The fused forward-mode stream rounds differently than the tape's
-  // separate kernels (and uses libm transcendentals), so this bundle is
-  // tolerance-pinned, not bitwise.
-  EXPECT_LT(max_abs_diff(got.value, want.value.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d_dt, want.d_dt.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d_dz, want.d_dz.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d_dx, want.d_dx.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d2_dz2, want.d2_dz2.value()), 2e-3);
-  EXPECT_LT(max_abs_diff(got.d2_dx2, want.d2_dx2.value()), 2e-3);
+  // Serving and training run the same DecoderJet kernel, and the plan's
+  // prepacked GEMMs are bitwise equal to the training node's dense ones.
+  const core::DecodeDerivs node =
+      model->decoder().decode_with_derivatives(lv, coords);
+  const ad::Var* trained[6] = {&node.value, &node.d_dt,   &node.d_dz,
+                               &node.d_dx,  &node.d2_dz2, &node.d2_dx2};
+  for (int s = 0; s < 6; ++s)
+    expect_bitwise_equal(*planned[s], trained[s]->value(),
+                         "plan vs training jet");
+
+  // The tape-op oracle blends before the output layer's GEMM and sums in
+  // another order, so it agrees to float tolerance only.
+  const test::OracleDerivs tape =
+      test::tape_jet(model->decoder(), lv, coords);
+  EXPECT_LT(max_abs_diff(got.value, tape.d.value.value()), 2e-4);
+  EXPECT_LT(max_abs_diff(got.d_dt, tape.d.d_dt.value()), 2e-4);
+  EXPECT_LT(max_abs_diff(got.d_dz, tape.d.d_dz.value()), 2e-4);
+  EXPECT_LT(max_abs_diff(got.d_dx, tape.d.d_dx.value()), 2e-4);
+  EXPECT_LT(max_abs_diff(got.d2_dz2, tape.d.d2_dz2.value()), 2e-3);
+  EXPECT_LT(max_abs_diff(got.d2_dx2, tape.d.d2_dx2.value()), 2e-3);
 }
 
 // ------------------------------------------------- zero-alloc steady state

@@ -202,9 +202,9 @@ TEST_P(QuantizedParity, ReplayBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(QuantizedParity, DerivativeBundleFallsBackToFp32) {
-  // execute_derivatives always runs the fp32 forward-mode stream — a
-  // reduced-precision plan's derivative bundle must match the tape bundle
-  // exactly as tightly as an fp32 plan's.
+  // execute_derivatives always runs the fp32 DecoderJet whatever the
+  // plan's tier, so a reduced-precision plan's derivative bundle is bitwise
+  // the training node's, as an fp32 plan's is.
   const backend::Precision prec = GetParam();
   auto model = make_model(341);
   auto snap = core::PreparedSnapshot::prepare(*model, 1);
@@ -221,9 +221,9 @@ TEST_P(QuantizedParity, DerivativeBundleFallsBackToFp32) {
   ad::Var lv(latent, /*requires_grad=*/false);
   const core::DecodeDerivs want =
       model->decoder().decode_with_derivatives(lv, coords);
-  EXPECT_LT(max_abs_diff(got.value, want.value.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d_dt, want.d_dt.value()), 2e-4);
-  EXPECT_LT(max_abs_diff(got.d2_dz2, want.d2_dz2.value()), 2e-3);
+  expect_bitwise_equal(got.value, want.value.value(), "value");
+  expect_bitwise_equal(got.d_dt, want.d_dt.value(), "d_dt");
+  expect_bitwise_equal(got.d2_dz2, want.d2_dz2.value(), "d2_dz2");
 }
 
 INSTANTIATE_TEST_SUITE_P(
