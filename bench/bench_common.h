@@ -12,14 +12,21 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/stopwatch.h"
 #include "core/evaluation.h"
 #include "core/losses.h"
 #include "core/meshfree_flownet.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "distributed/tcp_channel.h"
+#include "distributed/worker.h"
 
 namespace mfn::bench {
 
@@ -142,6 +149,54 @@ inline std::unique_ptr<core::MeshfreeFlowNet> train_model(
                         bench_trainer_config(gamma, seed));
   trainer.train();
   return model;
+}
+
+/// One in-process data-parallel job and its measured throughput.
+struct LoopbackRun {
+  dist::DistTrainResult root;     ///< rank 0's result
+  double seconds = 0.0;           ///< wall time until rank 0 returns
+  double patches_per_sec = 0.0;   ///< committed global patches per second
+};
+
+/// Run a `base.world`-rank dist::run_train_worker job in this process:
+/// ranks 1..world-1 on their own threads, rank 0 on the caller, talking
+/// over loopback TCP exactly as the processes of `mfn dist-train` do.
+/// Rank 0 insists on the full world (min_world), so the timing never
+/// covers a straggler subset. The rendezvous port is picked here. Every
+/// rank's thread is joined before the first failure (rank 0's first) is
+/// rethrown.
+inline LoopbackRun run_loopback_dist_train(dist::DistTrainConfig base) {
+  base.port = dist::pick_free_port();
+  std::vector<std::exception_ptr> errors(
+      static_cast<std::size_t>(base.world));
+  auto run_rank = [&errors](const dist::DistTrainConfig& c,
+                            dist::DistTrainResult* out) {
+    try {
+      dist::DistTrainResult r = dist::run_train_worker(c);
+      if (out != nullptr) *out = std::move(r);
+    } catch (...) {
+      errors[static_cast<std::size_t>(c.rank)] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> peers;
+  Stopwatch sw;
+  for (int r = 1; r < base.world; ++r) {
+    dist::DistTrainConfig c = base;
+    c.rank = r;
+    peers.emplace_back(run_rank, c, nullptr);
+  }
+  dist::DistTrainConfig c0 = base;
+  c0.rank = 0;
+  c0.min_world = base.world;
+  LoopbackRun run;
+  run_rank(c0, &run.root);
+  run.seconds = sw.seconds();
+  for (auto& t : peers) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  run.patches_per_sec = static_cast<double>(run.root.step_loss.size()) *
+                        base.world * base.batch_size / run.seconds;
+  return run;
 }
 
 }  // namespace mfn::bench

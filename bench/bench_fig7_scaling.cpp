@@ -1,9 +1,12 @@
 // Figure 7 reproduction: data-parallel scaling study.
 //
-// 7a — throughput vs number of workers: measured thread-parallel training
+// 7a — throughput vs number of workers: measured with in-process
+//      dist::run_train_worker ranks over loopback TCP (the synchronous
+//      ring-allreduce trainer `mfn dist-train` runs, on its small model)
 //      for world sizes up to the core count, then the alpha-beta ring
-//      all-reduce model (calibrated on the measured single-worker step
-//      time) extrapolated to 128 workers. Paper: 96.8% efficiency at 128.
+//      all-reduce model (calibrated on the measured single-rank step time
+//      and that model's gradient size) extrapolated to 128 workers.
+//      Paper: 96.8% efficiency at 128.
 // 7b — training loss vs epochs for 1 / 2 / 16 / 128 workers (fixed global
 //      samples per epoch; large effective batch converges slightly worse,
 //      the paper's 128-GPU anomaly).
@@ -13,7 +16,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
 #include "distributed/comm_model.h"
 #include "distributed/data_parallel.h"
 
@@ -25,31 +27,31 @@ int main() {
   data::PatchSampler sampler(pair, bench::bench_patch_config());
   core::EquationLossConfig eq = bench::equation_config(sampler, Ra, Pr);
 
-  // ---- measured throughput with real worker threads ----
+  // ---- measured throughput: real ranks over loopback TCP ----
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  std::printf("\n--- Fig 7a (measured, %d hardware threads) ---\n", hw);
+  std::printf("\n--- Fig 7a (measured, loopback TCP ranks, %d hardware "
+              "threads) ---\n",
+              hw);
   std::printf("%8s %14s %14s %10s\n", "workers", "samples/s", "ideal",
               "effcy");
+  // One patch per rank per step, the unit Fig. 7b/7c's modeled steps use.
+  dist::DistTrainConfig dcfg;
+  dcfg.steps = 8 * bench::scale();
+  dcfg.batch_size = 1;
+  dcfg.seed = 5;
   double measured_step_time = 0.05;
   {
     double thr1 = 0.0;
     for (int w = 1; w <= std::max(2, std::min(hw, 4)); w *= 2) {
-      Rng rng(5);
-      core::MeshfreeFlowNet model(bench::bench_model_config(), rng);
-      dist::DataParallelConfig cfg;
-      cfg.world_size = w;
-      cfg.epochs = 1;
-      cfg.patches_per_epoch = 8 * w;
-      cfg.gamma = 0.0;
-      auto stats = dist::train_data_parallel(model, sampler, eq, cfg);
+      dcfg.world = w;
+      const bench::LoopbackRun run = bench::run_loopback_dist_train(dcfg);
       if (w == 1) {
-        thr1 = stats.samples_per_second;
-        measured_step_time = 1.0 / stats.samples_per_second;
+        thr1 = run.patches_per_sec;
+        measured_step_time = 1.0 / run.patches_per_sec;
       }
       const double ideal = thr1 * w;
-      std::printf("%8d %14.2f %14.2f %9.1f%%\n", w,
-                  stats.samples_per_second, ideal,
-                  100.0 * stats.samples_per_second / ideal);
+      std::printf("%8d %14.2f %14.2f %9.1f%%\n", w, run.patches_per_sec,
+                  ideal, 100.0 * run.patches_per_sec / ideal);
       std::fflush(stdout);
     }
   }
@@ -61,9 +63,9 @@ int main() {
   dist::CommModelConfig cm;
   cm.compute_time = measured_step_time;
   {
-    // gradient payload = model parameter count * 4 bytes
+    // gradient payload = the measured model's parameter count * 4 bytes
     Rng rng(6);
-    core::MeshfreeFlowNet model(bench::bench_model_config(), rng);
+    core::MeshfreeFlowNet model(dist::dist_tiny_model_config(), rng);
     cm.gradient_bytes =
         static_cast<double>(model.num_parameters()) * sizeof(float);
   }

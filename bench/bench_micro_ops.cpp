@@ -1,9 +1,13 @@
 // Supporting microbenchmarks (google-benchmark): throughput of the
 // kernels every experiment rests on — matmul, conv3d, FFT, DNS step,
-// latent-grid encode, continuous decode, ring all-reduce — plus ablation
-// sweeps over decoder width and latent channels (the decoder's design
-// knobs, DecoderConfig in core/decoder.h).
+// latent-grid encode, continuous decode — plus ablation sweeps over
+// decoder width and latent channels (the decoder's design knobs,
+// DecoderConfig in core/decoder.h). The {"mfn_perf":...} JSON lines
+// printed after the suite add serving, loopback data-parallel training
+// and TCP ring all-reduce datapoints.
 #include <benchmark/benchmark.h>
+
+#include "bench_common.h"
 
 #include "autodiff/variable.h"
 #include "backend/simd.h"
@@ -17,7 +21,6 @@
 #include "core/meshfree_flownet.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
-#include "distributed/allreduce.h"
 #include "distributed/comm_model.h"
 #include "distributed/elastic.h"
 #include "distributed/tcp_channel.h"
@@ -29,10 +32,6 @@
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "threading/thread_pool.h"
-
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -82,19 +81,6 @@ void BM_Conv3dBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Conv3dBatched)->Arg(4)->Arg(8);
-
-void BM_Conv3dBatchedSeedReference(benchmark::State& state) {
-  const auto n = state.range(0);
-  Rng rng(2);
-  Tensor x = Tensor::randn(Shape{n, 16, 4, 16, 16}, rng);
-  Tensor w = Tensor::randn(Shape{16, 16, 3, 3, 3}, rng, 0.2f);
-  Tensor b = Tensor::zeros(Shape{16});
-  Conv3dSpec spec;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(conv3d_forward_reference(x, w, b, spec));
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_Conv3dBatchedSeedReference)->Arg(4)->Arg(8);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = state.range(0);
@@ -195,28 +181,6 @@ void BM_DecoderQuery_LatentChannels(benchmark::State& state) {
 }
 BENCHMARK(BM_DecoderQuery_LatentChannels)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_RingAllReduce(benchmark::State& state) {
-  const int W = static_cast<int>(state.range(0));
-  const std::int64_t n = 1 << 16;
-  for (auto _ : state) {
-    dist::RingAllReducer reducer(W);
-    std::vector<std::vector<float>> bufs(
-        static_cast<std::size_t>(W),
-        std::vector<float>(static_cast<std::size_t>(n), 1.0f));
-    std::vector<std::thread> ts;
-    for (int r = 0; r < W; ++r)
-      ts.emplace_back([&, r] {
-        reducer.allreduce_average(
-            r, bufs[static_cast<std::size_t>(r)].data(), n);
-      });
-    for (auto& t : ts) t.join();
-    benchmark::DoNotOptimize(bufs);
-  }
-  state.SetBytesProcessed(state.iterations() * W * n *
-                          static_cast<std::int64_t>(sizeof(float)));
-}
-BENCHMARK(BM_RingAllReduce)->Arg(2)->Arg(4);
-
 // ------------------------------------------------------ JSON perf lines --
 // Machine-readable GFLOP/s for the two hot kernels, so successive PRs can
 // track the perf trajectory by grepping `mfn_perf` lines out of CI logs.
@@ -249,24 +213,6 @@ SimdVsScalar time_simd_vs_scalar(int reps, const std::function<void()>& fn) {
   return r;
 }
 
-// Grab a currently-free loopback port for the dist_train rendezvous (the
-// same bind(0)/getsockname trick the `mfn dist-train` launcher uses).
-int pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  MFN_CHECK(fd >= 0, "socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  MFN_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-            "bind() failed");
-  socklen_t len = sizeof(addr);
-  MFN_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-            "getsockname() failed");
-  ::close(fd);
-  return static_cast<int>(ntohs(addr.sin_port));
-}
-
 void emit_perf_json() {
   const int threads = ThreadPool::global().size();
   std::printf("{\"mfn_perf\":\"simd\",\"tier\":\"%s\",\"width\":%d}\n",
@@ -288,7 +234,7 @@ void emit_perf_json() {
         static_cast<long long>(n), threads, gflops);
   }
   {
-    // conv3d forward at training batch size, new path vs seed reference.
+    // conv3d forward at training batch size.
     const std::int64_t N = 4, C = 16, F = 16;
     Rng rng(22);
     Tensor x = Tensor::randn(Shape{N, C, 4, 16, 16}, rng);
@@ -299,33 +245,19 @@ void emit_perf_json() {
     const double flops = 2.0 * static_cast<double>(out.numel()) *
                          static_cast<double>(C) * 27.0;
     conv3d_forward(x, w, b, spec);  // warm up
-    conv3d_forward_reference(x, w, b, spec);
-    // Interleave the two paths so frequency/scheduling drift on a busy
-    // host hits both equally; take each path's best.
-    double sec = 1e300, sec_ref = 1e300;
-    for (int r = 0; r < 9; ++r) {
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_forward(x, w, b, spec));
-        sec = std::min(sec, sw.seconds());
-      }
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_forward_reference(x, w, b, spec));
-        sec_ref = std::min(sec_ref, sw.seconds());
-      }
-    }
+    const double sec = time_best_of(
+        9, [&] { benchmark::DoNotOptimize(conv3d_forward(x, w, b, spec)); });
     std::printf(
         "{\"mfn_perf\":\"conv3d\",\"batch\":%lld,\"channels\":%lld,"
-        "\"threads\":%d,\"gflops\":%.3f,\"seed_gflops\":%.3f,"
-        "\"speedup_vs_seed\":%.2f}\n",
+        "\"threads\":%d,\"gflops\":%.3f}\n",
         static_cast<long long>(N), static_cast<long long>(C), threads,
-        flops / sec / 1e9, flops / sec_ref / 1e9, sec_ref / sec);
+        flops / sec / 1e9);
   }
   {
-    // Implicit-GEMM conv3d (pack-from-volume, no CKxL column matrix) vs
-    // the PR 3 im2col path, forward and backward, at the training shape
-    // (batch 4, UNet level-0 geometry).
+    // Implicit-GEMM conv3d (pack-from-volume, no CKxL column matrix),
+    // forward and backward, at the training shape (batch 4, UNet level-0
+    // geometry). gflops is the forward rate; bwd_gflops counts the
+    // backward's two products (dW and dX) at the forward's FLOPs each.
     const std::int64_t N = 4, C = 16, F = 16;
     Rng rng(24);
     Tensor x = Tensor::randn(Shape{N, C, 4, 16, 16}, rng);
@@ -337,9 +269,10 @@ void emit_perf_json() {
                          static_cast<double>(C) * 27.0;
     Tensor gy = Tensor::randn(out, rng);
     conv3d_forward(x, w, b, spec);  // warm up
-    conv3d_forward_im2col(x, w, b, spec);
-    double sec = 1e300, sec_im2col = 1e300;
-    double bsec = 1e300, bsec_im2col = 1e300;
+    conv3d_backward(x, w, true, spec, gy);
+    // Interleave the two passes so frequency/scheduling drift on a busy
+    // host hits both equally; take each pass's best.
+    double sec = 1e300, bsec = 1e300;
     for (int r = 0; r < 9; ++r) {
       {
         Stopwatch sw;
@@ -348,28 +281,15 @@ void emit_perf_json() {
       }
       {
         Stopwatch sw;
-        benchmark::DoNotOptimize(conv3d_forward_im2col(x, w, b, spec));
-        sec_im2col = std::min(sec_im2col, sw.seconds());
-      }
-      {
-        Stopwatch sw;
         benchmark::DoNotOptimize(conv3d_backward(x, w, true, spec, gy));
         bsec = std::min(bsec, sw.seconds());
-      }
-      {
-        Stopwatch sw;
-        benchmark::DoNotOptimize(
-            conv3d_backward_im2col(x, w, true, spec, gy));
-        bsec_im2col = std::min(bsec_im2col, sw.seconds());
       }
     }
     std::printf(
         "{\"mfn_perf\":\"conv3d_implicit\",\"batch\":%lld,\"channels\":%lld,"
-        "\"threads\":%d,\"gflops\":%.3f,\"im2col_gflops\":%.3f,"
-        "\"speedup_vs_im2col\":%.2f,\"bwd_speedup_vs_im2col\":%.2f}\n",
+        "\"threads\":%d,\"gflops\":%.3f,\"bwd_gflops\":%.3f}\n",
         static_cast<long long>(N), static_cast<long long>(C), threads,
-        flops / sec / 1e9, flops / sec_im2col / 1e9, sec_im2col / sec,
-        bsec_im2col / bsec);
+        flops / sec / 1e9, 2.0 * flops / bsec / 1e9);
   }
   {
     // Fused conv -> batchnorm(eval) -> ReLU epilogue vs the unfused
@@ -1044,33 +964,17 @@ void emit_perf_json() {
   // dist-train` forks into processes). patches/sec is committed global
   // batches per wall second, the paper's weak-scaling axis.
   for (const int world : {1, 2, 4}) {
-    const int port = pick_free_port();
-    dist::DistTrainConfig base;
-    base.world = world;
-    base.port = port;
-    base.steps = 6;
-    base.batch_size = 2;
-    base.seed = 11;
-    std::vector<std::thread> peers;
-    Stopwatch sw;
-    for (int r = 1; r < world; ++r)
-      peers.emplace_back([base, r] {
-        dist::DistTrainConfig c = base;
-        c.rank = r;
-        dist::run_train_worker(c);
-      });
-    dist::DistTrainConfig c0 = base;
-    c0.min_world = world;  // time the full world, not a straggler subset
-    const dist::DistTrainResult root = dist::run_train_worker(c0);
-    const double sec = sw.seconds();
-    for (auto& t : peers) t.join();
-    const double patches = static_cast<double>(root.step_loss.size()) *
-                           world * base.batch_size;
+    dist::DistTrainConfig cfg;
+    cfg.world = world;
+    cfg.steps = 6;
+    cfg.batch_size = 2;
+    cfg.seed = 11;
+    const bench::LoopbackRun run = bench::run_loopback_dist_train(cfg);
     std::printf(
         "{\"mfn_perf\":\"dist_train\",\"world\":%d,\"steps\":%d,"
         "\"threads\":%d,\"patches_per_sec\":%.1f,\"final_world\":%d}\n",
-        world, static_cast<int>(root.step_loss.size()), threads,
-        patches / sec, root.final_world);
+        world, static_cast<int>(run.root.step_loss.size()), threads,
+        run.patches_per_sec, run.root.final_world);
   }
 
   // Model vs measured: the analytic ring_allreduce_seconds() alpha-beta

@@ -1,63 +1,42 @@
-// Data-parallel training demo (paper Sec. 3.4): replicated models on
-// worker threads, synchronous ring all-reduce of gradients, and the
-// alpha-beta performance model used to reason about cluster-scale runs.
+// Data-parallel training demo (paper Sec. 3.4): ranks of the real
+// distributed worker (dist::run_train_worker) train model replicas in this
+// process over loopback TCP, with a synchronous ring all-reduce of
+// gradients every step, then the alpha-beta performance model used to
+// reason about cluster-scale runs. `mfn dist-train` runs the same worker
+// as separate processes.
 #include <cstdio>
 #include <thread>
 
-#include "core/losses.h"
-#include "core/meshfree_flownet.h"
-#include "data/dataset.h"
+#include "bench_common.h"
 #include "distributed/comm_model.h"
-#include "distributed/data_parallel.h"
 
 int main() {
   using namespace mfn;
   std::printf("Data-parallel MeshfreeFlowNet training\n");
   std::printf("======================================\n");
-
-  data::DatasetConfig dcfg;
-  dcfg.solver.Ra = 1e5;
-  dcfg.solver.nx = 32;
-  dcfg.solver.nz = 17;
-  dcfg.solver.seed = 4;
-  dcfg.spinup_time = 6.0;
-  dcfg.duration = 4.0;
-  dcfg.num_snapshots = 8;
-  data::SRPair pair = data::make_sr_pair(data::generate_rb_dataset(dcfg),
-                                         2, 2);
-  data::PatchSamplerConfig pcfg;
-  pcfg.patch_nt = 4;
-  pcfg.patch_nz = 8;
-  pcfg.patch_nx = 8;
-  pcfg.queries_per_patch = 128;
-  data::PatchSampler sampler(pair, pcfg);
-  core::EquationLossConfig eq;
-  eq.constants = core::RBConstants::from_ra_pr(1e5, 1.0);
-  eq.cell_size = sampler.lr_cell_size();
-  eq.stats = pair.stats;
-
-  core::MFNConfig mcfg = core::MFNConfig::small_default();
-  mcfg.unet.base_filters = 4;
-  mcfg.unet.out_channels = 8;
-  mcfg.decoder.latent_channels = 8;
-  mcfg.decoder.hidden = {16, 16};
-
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::printf("hardware threads: %d\n\n", hw);
+
   for (int world : {1, 2}) {
-    Rng rng(9);
-    core::MeshfreeFlowNet model(mcfg, rng);
-    dist::DataParallelConfig cfg;
-    cfg.world_size = world;
-    cfg.epochs = 4;
-    cfg.patches_per_epoch = 16;
-    cfg.gamma = 0.0;
+    dist::DistTrainConfig cfg;
+    cfg.world = world;
+    cfg.steps = 10;
+    cfg.batch_size = 2;
     cfg.adam.lr = 3e-3;
-    auto stats = dist::train_data_parallel(model, sampler, eq, cfg);
-    std::printf("world=%d: %6.2f samples/s, loss per epoch:", world,
-                stats.samples_per_second);
-    for (double l : stats.epoch_loss) std::printf(" %.4f", l);
+    cfg.seed = 9;
+    const bench::LoopbackRun run = bench::run_loopback_dist_train(cfg);
+    std::printf("world=%d: %6.2f patches/s, loss per step:", world,
+                run.patches_per_sec);
+    for (double l : run.root.step_loss) std::printf(" %.4f", l);
     std::printf("\n");
+    // Every rank applies the same averaged update, so the replicas must end
+    // bit-identical; rank 0 audits that through the workers' digests.
+    if (run.root.final_world != world || run.root.digest_mismatches != 0) {
+      std::fprintf(stderr,
+                   "world=%d: final world %d, %d replica digest mismatches\n",
+                   world, run.root.final_world, run.root.digest_mismatches);
+      return 1;
+    }
   }
 
   std::printf("\nalpha-beta model for a V100-class cluster (ring "

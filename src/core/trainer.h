@@ -41,7 +41,7 @@ struct EpochStats {
 /// Loss of one (possibly batched) training forward: L = Lp + gamma * Le,
 /// with both terms reduced over all N*Q query rows of the minibatch. This
 /// is the single step used by Trainer, dist::train_effective_batch, and
-/// dist::train_data_parallel.
+/// the distributed worker (dist::run_train_worker).
 struct StepLoss {
   ad::Var loss;        ///< scalar total, ready for ad::backward
   double pred = 0.0;   ///< prediction-term value

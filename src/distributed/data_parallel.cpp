@@ -1,89 +1,11 @@
 #include "distributed/data_parallel.h"
 
-#include <thread>
+#include <algorithm>
 
 #include "common/error.h"
-#include "common/stopwatch.h"
-#include "distributed/allreduce.h"
-#include "optim/adam.h"
+#include "core/trainer.h"
 
 namespace mfn::dist {
-
-DataParallelStats train_data_parallel(
-    core::MeshfreeFlowNet& reference, const data::PatchSampler& sampler,
-    const core::EquationLossConfig& eq_config,
-    const DataParallelConfig& config) {
-  const int W = config.world_size;
-  MFN_CHECK(W >= 1, "world size must be >= 1");
-  MFN_CHECK(config.batch_size >= 1, "batch_size must be >= 1");
-  const int steps_per_epoch = std::max(
-      1, config.patches_per_epoch / std::max(W * config.batch_size, 1));
-
-  // Build replicas with identical weights.
-  std::vector<std::unique_ptr<core::MeshfreeFlowNet>> replicas;
-  Rng init_rng(1);
-  for (int r = 0; r < W; ++r) {
-    replicas.push_back(std::make_unique<core::MeshfreeFlowNet>(
-        reference.config(), init_rng));
-    replicas.back()->copy_state_from(reference);
-  }
-
-  RingAllReducer reducer(W);
-  Barrier epoch_barrier(W);
-  std::vector<std::vector<double>> worker_epoch_loss(
-      static_cast<std::size_t>(W));
-  std::vector<std::thread> threads;
-  Stopwatch sw;
-
-  for (int r = 0; r < W; ++r) {
-    threads.emplace_back([&, r] {
-      core::MeshfreeFlowNet& model = *replicas[static_cast<std::size_t>(r)];
-      model.set_training(true);
-      optim::Adam opt(model.parameters(), config.adam);
-      Rng rng(config.seed * 1315423911ull +
-              static_cast<std::uint64_t>(r) * 2654435761ull + 17ull);
-      for (int e = 0; e < config.epochs; ++e) {
-        double loss_sum = 0.0;
-        for (int s = 0; s < steps_per_epoch; ++s) {
-          data::BatchedSample batch =
-              sampler.sample_batch(config.batch_size, rng);
-          opt.zero_grad();
-          core::StepLoss step = core::batched_step_loss(
-              model, batch, eq_config, config.gamma);
-          ad::backward(step.loss);
-          loss_sum += step.loss.value().item();
-
-          // synchronous gradient averaging (the DDP all-reduce)
-          std::vector<Tensor*> grads;
-          for (auto* p : model.parameters())
-            grads.push_back(&p->mutable_grad());
-          allreduce_average_tensors(reducer, r, grads);
-          opt.step();
-        }
-        worker_epoch_loss[static_cast<std::size_t>(r)].push_back(
-            loss_sum / steps_per_epoch);
-        epoch_barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  DataParallelStats stats;
-  stats.wall_seconds = sw.seconds();
-  for (int e = 0; e < config.epochs; ++e) {
-    double acc = 0.0;
-    for (int r = 0; r < W; ++r)
-      acc += worker_epoch_loss[static_cast<std::size_t>(r)]
-                              [static_cast<std::size_t>(e)];
-    stats.epoch_loss.push_back(acc / W);
-  }
-  const double total_samples = static_cast<double>(config.epochs) *
-                               steps_per_epoch * W * config.batch_size;
-  stats.samples_per_second = total_samples / stats.wall_seconds;
-
-  reference.copy_state_from(*replicas[0]);
-  return stats;
-}
 
 std::vector<double> train_effective_batch(
     core::MeshfreeFlowNet& model, const data::PatchSampler& sampler,

@@ -1,56 +1,25 @@
-// Synchronous data-parallel training (paper Sec. 3.4 / 5.4).
+// Effective-batch emulation of synchronous data parallelism (paper Sec.
+// 3.4 / 5.4) for world sizes beyond the machine's core count.
 //
-// Replicates the model across worker threads; every step each worker
-// computes gradients on its own random batch, gradients are averaged with
-// the ring all-reduce, and every replica applies an identical Adam update
-// — the exact semantics of PyTorch DistributedDataParallel with
-// synchronous gradient descent.
+// Real multi-worker training (ring allreduce over TCP, one process or
+// thread per rank) lives in worker.h; this single-model emulation feeds
+// the Fig. 7b/7c convergence curves, where only the averaged-gradient
+// semantics matter.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/losses.h"
 #include "core/meshfree_flownet.h"
-#include "core/trainer.h"
 #include "data/dataset.h"
+#include "optim/adam.h"
 
 namespace mfn::dist {
 
-struct DataParallelConfig {
-  int world_size = 2;
-  int epochs = 4;
-  /// Global samples (patches) per epoch; each worker gets 1/world of them.
-  int patches_per_epoch = 16;
-  /// Patches per worker per step: every worker runs one batched forward on
-  /// a (batch_size, ...) stack, so the effective global batch is
-  /// world_size * batch_size patches.
-  int batch_size = 1;
-  double gamma = 0.0;
-  optim::AdamConfig adam{.lr = 1e-3};
-  std::uint64_t seed = 0;
-};
-
-struct DataParallelStats {
-  std::vector<double> epoch_loss;     ///< mean worker loss per epoch
-  double wall_seconds = 0.0;          ///< measured wall time (all epochs)
-  double samples_per_second = 0.0;    ///< measured training throughput
-};
-
-/// Train `world_size` replicas of the given architecture. All replicas
-/// start from `reference`'s weights; on return `reference` holds the final
-/// (identical) weights of replica 0.
-DataParallelStats train_data_parallel(
-    core::MeshfreeFlowNet& reference, const data::PatchSampler& sampler,
-    const core::EquationLossConfig& eq_config,
-    const DataParallelConfig& config);
-
 /// Emulate W-way synchronous data parallelism on a single model with one
-/// true minibatch step over a (W, ...) patch stack per update (the same
-/// averaged-gradient semantics the serial W-batch replay used to emulate,
-/// now a single wide forward/backward; used for the Fig. 7b/7c convergence
-/// curves at world sizes beyond the machine's core count).
+/// true minibatch step over a (W, ...) patch stack per update: the losses
+/// reduce over all W * queries rows, so the gradient equals the average
+/// of W workers' gradients. Returns the mean loss per epoch.
 std::vector<double> train_effective_batch(
     core::MeshfreeFlowNet& model, const data::PatchSampler& sampler,
     const core::EquationLossConfig& eq_config, int world_size, int epochs,

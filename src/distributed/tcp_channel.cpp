@@ -149,6 +149,10 @@ int TcpSocket::bound_port() const {
   return static_cast<int>(ntohs(addr.sin_port));
 }
 
+int pick_free_port() {
+  return TcpSocket::listen_on("127.0.0.1", 0).bound_port();
+}
+
 std::optional<TcpSocket> TcpSocket::accept_within(int timeout_ms) {
   const auto deadline = deadline_from(timeout_ms);
   for (;;) {

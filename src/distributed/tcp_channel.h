@@ -164,6 +164,11 @@ class TcpSocket {
   int fd_ = -1;
 };
 
+/// A loopback port the kernel reported free a moment ago (bind to port 0,
+/// read it back, close). Another process may take it before the caller
+/// binds it; acceptable for single-machine launchers and benches.
+int pick_free_port();
+
 // --------------------------------------------------------------- channel --
 struct TcpChannelConfig {
   std::string host = "127.0.0.1";

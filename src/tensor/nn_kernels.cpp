@@ -142,13 +142,15 @@ std::int64_t out_size(std::int64_t in, std::int64_t k, std::int64_t s,
   return (in + 2 * p - k) / s + 1;
 }
 
-// Scatter/gather between a padded input volume (C, D, H, W) and the column
-// matrix (C*KD*KH*KW, OD*OH*OW).
+// Geometry of the column matrix (C*KD*KH*KW, OD*OH*OW) of a padded input
+// volume (C, D, H, W).
 struct ColGeom {
   std::int64_t C, D, H, W, KD, KH, KW, OD, OH, OW;
   Dims3 stride, pad;
 };
 
+// Gather one sample's volume into its column matrix (the dW operand of
+// the backward fast path).
 void vol2col(const float* x, const ColGeom& g, float* col) {
   const std::int64_t L = g.OD * g.OH * g.OW;
   const std::int64_t K = g.KD * g.KH * g.KW;
@@ -228,66 +230,6 @@ void vol2col(const float* x, const ColGeom& g, float* col) {
                   const std::int64_t w = ow * g.stride[2] - g.pad[2] + kw;
                   dst[ow] = (w >= 0 && w < g.W) ? src[w] : 0.0f;
                 }
-              }
-            }
-          }
-        }
-  }
-}
-
-// Seed copy of vol2col (per-element bounds checks), used only by the
-// *_reference conv paths so the baseline stays the pre-backend code.
-void vol2col_reference(const float* x, const ColGeom& g, float* col) {
-  const std::int64_t L = g.OD * g.OH * g.OW;
-  const std::int64_t K = g.KD * g.KH * g.KW;
-  for (std::int64_t c = 0; c < g.C; ++c) {
-    const float* xc = x + c * g.D * g.H * g.W;
-    for (std::int64_t kd = 0; kd < g.KD; ++kd)
-      for (std::int64_t kh = 0; kh < g.KH; ++kh)
-        for (std::int64_t kw = 0; kw < g.KW; ++kw) {
-          float* crow = col + (c * K + (kd * g.KH + kh) * g.KW + kw) * L;
-          for (std::int64_t od = 0; od < g.OD; ++od) {
-            const std::int64_t d = od * g.stride[0] - g.pad[0] + kd;
-            const bool dok = d >= 0 && d < g.D;
-            for (std::int64_t oh = 0; oh < g.OH; ++oh) {
-              const std::int64_t h = oh * g.stride[1] - g.pad[1] + kh;
-              const bool hok = dok && h >= 0 && h < g.H;
-              float* dst = crow + (od * g.OH + oh) * g.OW;
-              if (!hok) {
-                std::fill(dst, dst + g.OW, 0.0f);
-                continue;
-              }
-              const float* src = xc + (d * g.H + h) * g.W;
-              for (std::int64_t ow = 0; ow < g.OW; ++ow) {
-                const std::int64_t w = ow * g.stride[2] - g.pad[2] + kw;
-                dst[ow] = (w >= 0 && w < g.W) ? src[w] : 0.0f;
-              }
-            }
-          }
-        }
-  }
-}
-
-void col2vol_accumulate(const float* col, const ColGeom& g, float* x) {
-  const std::int64_t L = g.OD * g.OH * g.OW;
-  const std::int64_t K = g.KD * g.KH * g.KW;
-  for (std::int64_t c = 0; c < g.C; ++c) {
-    float* xc = x + c * g.D * g.H * g.W;
-    for (std::int64_t kd = 0; kd < g.KD; ++kd)
-      for (std::int64_t kh = 0; kh < g.KH; ++kh)
-        for (std::int64_t kw = 0; kw < g.KW; ++kw) {
-          const float* crow = col + (c * K + (kd * g.KH + kh) * g.KW + kw) * L;
-          for (std::int64_t od = 0; od < g.OD; ++od) {
-            const std::int64_t d = od * g.stride[0] - g.pad[0] + kd;
-            if (d < 0 || d >= g.D) continue;
-            for (std::int64_t oh = 0; oh < g.OH; ++oh) {
-              const std::int64_t h = oh * g.stride[1] - g.pad[1] + kh;
-              if (h < 0 || h >= g.H) continue;
-              const float* src = crow + (od * g.OH + oh) * g.OW;
-              float* dst = xc + (d * g.H + h) * g.W;
-              for (std::int64_t ow = 0; ow < g.OW; ++ow) {
-                const std::int64_t w = ow * g.stride[2] - g.pad[2] + kw;
-                if (w >= 0 && w < g.W) dst[w] += src[ow];
               }
             }
           }
@@ -754,75 +696,22 @@ Tensor conv3d_forward(const Tensor& x, const Tensor& weight,
   return conv3d_forward_fused(x, weight, spec, ep);
 }
 
-Tensor conv3d_forward_im2col(const Tensor& x, const Tensor& weight,
-                             const Tensor& bias, const Conv3dSpec& spec) {
-  check_5d(x, "conv3d input");
-  check_5d(weight, "conv3d weight");
-  const Shape out_shape = conv3d_output_shape(x.shape(), weight.shape(), spec);
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const ColExtents ext = col_extents(g);
-  const std::int64_t CK = ext.CK, L = ext.L;
-  if (bias.defined())
-    MFN_CHECK(bias.ndim() == 1 && bias.dim(0) == F,
-              "conv3d bias shape " << bias.shape().str());
-
-  // Every element of `out` is written by the per-sample GEMMs (beta = 0,
-  // bias fused), so skip the zero-fill.
-  Tensor out = Tensor::uninitialized(out_shape);
-  const float* pw = weight.data();  // (F, CK) viewed flat
-  const float* pb = bias.defined() ? bias.data() : nullptr;
-  const float* px = x.data();
-  float* pout = out.data();
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-  // One task per sample; each executing thread draws its column matrix from
-  // its own workspace arena, so the batch loop is allocation-free and
-  // race-free. For N == 1 the loop runs inline on the caller and the GEMM
-  // parallelizes internally instead.
-  parallel_for(
-      N,
-      [&](std::int64_t n0, std::int64_t n1) {
-        backend::Workspace& ws = backend::local_workspace();
-        for (std::int64_t n = n0; n < n1; ++n) {
-          const backend::Workspace::Mark m = ws.mark();
-          float* col = ws.alloc(static_cast<std::size_t>(CK * L));
-          vol2col(px + n * in_slab, g, col);
-          float* po = pout + n * F * L;
-          if (pb != nullptr) {
-            // Per-filter bias is fused into the GEMM write-back.
-            backend::sgemm_bias_rows(backend::Trans::kNo, backend::Trans::kNo,
-                                     F, L, CK, 1.0f, pw, col, 0.0f, pb, po,
-                                     &ws);
-          } else {
-            backend::sgemm(backend::Trans::kNo, backend::Trans::kNo, F, L, CK,
-                           1.0f, pw, col, 0.0f, po, &ws);
-          }
-          ws.release(m);
-        }
-      },
-      /*grain=*/1);
-  return out;
-}
-
 namespace {
 
-// Shared tail of both backward paths: reduce the per-worker weight/bias
-// partials into the output gradients.
+// Sum the P per-range weight/bias partials of conv3d_backward into the
+// output gradients, in range order.
 void reduce_grad_partials(Conv3dGrads& grads, const Tensor& gw_part,
-                          const Tensor& gb_part, int W, std::int64_t F,
-                          std::int64_t CK, bool had_bias) {
+                          const Tensor& gb_part, std::int64_t P,
+                          std::int64_t F, std::int64_t CK, bool had_bias) {
   float* pgw = grads.gweight.data();
-  for (int w = 0; w < W; ++w) {
-    const float* part = gw_part.data() + static_cast<std::size_t>(w) *
-                                             static_cast<std::size_t>(F * CK);
+  for (std::int64_t r = 0; r < P; ++r) {
+    const float* part = gw_part.data() + r * F * CK;
     for (std::int64_t i = 0; i < F * CK; ++i) pgw[i] += part[i];
   }
   if (had_bias) {
     float* pgb = grads.gbias.data();
-    for (int w = 0; w < W; ++w) {
-      const float* part = gb_part.data() +
-                          static_cast<std::size_t>(w) *
-                              static_cast<std::size_t>(F);
+    for (std::int64_t r = 0; r < P; ++r) {
+      const float* part = gb_part.data() + r * F;
       for (std::int64_t f = 0; f < F; ++f) pgb[f] += part[f];
     }
   }
@@ -884,257 +773,76 @@ Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
   }
 
   // gx is per-sample (disjoint slabs), but gweight/gbias sum over the
-  // batch: give every potential worker its own zeroed partial and reduce
-  // after the parallel region. parallel_for_indexed hands out at most
-  // min(pool size, chunks) + 1 slots, so small batches never pay for a
-  // large pool's worth of partials. The partials are Tensors so their
-  // storage cycles through the caching allocator with every other
-  // training-step intermediate.
-  const int W = static_cast<int>(std::min<std::int64_t>(
-      max_parallel_workers(), N + 1));
-  Tensor gw_part = Tensor::zeros(Shape{W, F * CK});
-  Tensor gb_part = had_bias ? Tensor::zeros(Shape{W, F}) : Tensor();
+  // batch. The batch splits into P = min(pool size, N) fixed contiguous
+  // sample ranges, each accumulating into its own zeroed partial, and the
+  // partials are summed in range order after the parallel region: which
+  // samples share a partial, and the order of every sum, depend only on N
+  // and the pool size, never on scheduling, so repeated calls give the
+  // same bits. The partials are Tensors so their storage cycles through
+  // the caching allocator with every other training-step intermediate.
+  const std::int64_t P = std::max<std::int64_t>(
+      1, std::min<std::int64_t>(ThreadPool::global().size(), N));
+  Tensor gw_part = Tensor::zeros(Shape{P, F * CK});
+  Tensor gb_part = had_bias ? Tensor::zeros(Shape{P, F}) : Tensor();
 
-  parallel_for_indexed(
-      N,
-      [&](int worker, std::int64_t n0, std::int64_t n1) {
+  parallel_for(
+      P,
+      [&](std::int64_t r0, std::int64_t r1) {
         backend::Workspace& ws = backend::local_workspace();
-        float* gw = gw_part.data() +
-                    static_cast<std::size_t>(worker) *
-                        static_cast<std::size_t>(F * CK);
-        for (std::int64_t n = n0; n < n1; ++n) {
-          const backend::Workspace::Mark m = ws.mark();
-          const float* gy_n = pgy + n * F * L;  // (F, L), no copy
-          if (pointwise) {
-            // col == x: both products are dense GEMMs on the slabs.
-            backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
-                           L, 1.0f, gy_n, px + n * in_slab, 1.0f, gw, &ws);
-            backend::sgemm(backend::Trans::kYes, backend::Trans::kNo, CK, L,
-                           F, 1.0f, pw, gy_n, 0.0f,
-                           grads.gx.data() + n * in_slab, &ws);
-          } else if (same_direct) {
-            // Hybrid fast path: dW wants the whole column matrix L times
-            // per filter row anyway, and the plane-copy vol2col beats a
-            // per-element window gather for it — so dW keeps im2col. dX is
-            // a same-geometry conv of gy with the flipped kernel through
-            // the zero-pack window path, so the dcol matrix and its
-            // col2vol round trip never exist.
-            float* col = ws.alloc(static_cast<std::size_t>(CK * L));
-            vol2col(px + n * in_slab, g, col);
-            backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
-                           L, 1.0f, gy_n, col, 1.0f, gw, &ws);
-            conv_same_direct_sample(gy_n, Apb, g.C, gb, {},
-                                    grads.gx.data() + n * in_slab, ws);
-          } else {
-            VolPanelCtx ctx{px + n * in_slab,
-                            grads.gx.data() + n * in_slab, &g};
-            // dW_partial += gy_n * col^T: the transposed column operand is
-            // packed straight from the volume (beta = 1 accumulation).
-            backend::PackBSource srcT{&pack_volT_panel, &ctx};
-            backend::sgemm_packed_b(backend::Trans::kNo, F, CK, L, 1.0f,
-                                    gy_n, srcT, 1.0f, gw, {}, &ws);
-            // dX_n = col2vol(W^T * gy_n), one NR-column strip at a time
-            // with the scatter fused behind each strip — dcol never
-            // exists.
-            backend::StripSink sink{&scatter_col_strip, &ctx};
-            backend::sgemm_col_strips(backend::Trans::kYes,
-                                      backend::Trans::kNo, CK, L, F, 1.0f,
-                                      pw, gy_n, sink, &ws);
+        for (std::int64_t r = r0; r < r1; ++r) {
+          float* gw = gw_part.data() + r * F * CK;
+          for (std::int64_t n = N * r / P; n < N * (r + 1) / P; ++n) {
+            const backend::Workspace::Mark m = ws.mark();
+            const float* gy_n = pgy + n * F * L;  // (F, L), no copy
+            if (pointwise) {
+              // col == x: both products are dense GEMMs on the slabs.
+              backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
+                             L, 1.0f, gy_n, px + n * in_slab, 1.0f, gw, &ws);
+              backend::sgemm(backend::Trans::kYes, backend::Trans::kNo, CK, L,
+                             F, 1.0f, pw, gy_n, 0.0f,
+                             grads.gx.data() + n * in_slab, &ws);
+            } else if (same_direct) {
+              // Hybrid fast path: dW wants the whole column matrix L times
+              // per filter row anyway, and the plane-copy vol2col beats a
+              // per-element window gather for it — so dW keeps im2col. dX is
+              // a same-geometry conv of gy with the flipped kernel through
+              // the zero-pack window path, so the dcol matrix and its
+              // col2vol round trip never exist.
+              float* col = ws.alloc(static_cast<std::size_t>(CK * L));
+              vol2col(px + n * in_slab, g, col);
+              backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK,
+                             L, 1.0f, gy_n, col, 1.0f, gw, &ws);
+              conv_same_direct_sample(gy_n, Apb, g.C, gb, {},
+                                      grads.gx.data() + n * in_slab, ws);
+            } else {
+              VolPanelCtx ctx{px + n * in_slab,
+                              grads.gx.data() + n * in_slab, &g};
+              // dW_partial += gy_n * col^T: the transposed column operand is
+              // packed straight from the volume (beta = 1 accumulation).
+              backend::PackBSource srcT{&pack_volT_panel, &ctx};
+              backend::sgemm_packed_b(backend::Trans::kNo, F, CK, L, 1.0f,
+                                      gy_n, srcT, 1.0f, gw, {}, &ws);
+              // dX_n = col2vol(W^T * gy_n), one NR-column strip at a time
+              // with the scatter fused behind each strip — dcol never
+              // exists.
+              backend::StripSink sink{&scatter_col_strip, &ctx};
+              backend::sgemm_col_strips(backend::Trans::kYes,
+                                        backend::Trans::kNo, CK, L, F, 1.0f,
+                                        pw, gy_n, sink, &ws);
+            }
+            if (had_bias) {
+              float* gbp = gb_part.data() + r * F;
+              for (std::int64_t f = 0; f < F; ++f)
+                gbp[f] += static_cast<float>(span_sum(gy_n + f * L, L));
+            }
+            ws.release(m);
           }
-          if (had_bias) {
-            float* gb = gb_part.data() +
-                        static_cast<std::size_t>(worker) *
-                            static_cast<std::size_t>(F);
-            for (std::int64_t f = 0; f < F; ++f)
-              gb[f] += static_cast<float>(span_sum(gy_n + f * L, L));
-          }
-          ws.release(m);
         }
       },
       /*grain=*/1);
 
   ws0.release(m0);
-  reduce_grad_partials(grads, gw_part, gb_part, W, F, CK, had_bias);
-  return grads;
-}
-
-Conv3dGrads conv3d_backward_im2col(const Tensor& x, const Tensor& weight,
-                                   bool had_bias, const Conv3dSpec& spec,
-                                   const Tensor& gy) {
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const ColExtents ext = col_extents(g);
-  const std::int64_t CK = ext.CK, L = ext.L;
-
-  Conv3dGrads grads;
-  grads.gx = Tensor::zeros(x.shape());
-  grads.gweight = Tensor::zeros(weight.shape());
-  if (had_bias) grads.gbias = Tensor::zeros(Shape{F});
-
-  const float* pw = weight.data();  // (F, CK) viewed flat
-  const float* px = x.data();
-  const float* pgy = gy.data();
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-
-  const int W = static_cast<int>(std::min<std::int64_t>(
-      max_parallel_workers(), N + 1));
-  Tensor gw_part = Tensor::zeros(Shape{W, F * CK});
-  Tensor gb_part = had_bias ? Tensor::zeros(Shape{W, F}) : Tensor();
-
-  parallel_for_indexed(
-      N,
-      [&](int worker, std::int64_t n0, std::int64_t n1) {
-        backend::Workspace& ws = backend::local_workspace();
-        float* gw = gw_part.data() +
-                    static_cast<std::size_t>(worker) *
-                        static_cast<std::size_t>(F * CK);
-        for (std::int64_t n = n0; n < n1; ++n) {
-          const backend::Workspace::Mark m = ws.mark();
-          float* col = ws.alloc(static_cast<std::size_t>(CK * L));
-          vol2col(px + n * in_slab, g, col);
-          const float* gy_n = pgy + n * F * L;  // (F, L), no copy
-          // dW_partial += gy_n * col^T  (beta = 1 accumulation)
-          backend::sgemm(backend::Trans::kNo, backend::Trans::kYes, F, CK, L,
-                         1.0f, gy_n, col, 1.0f, gw, &ws);
-          // dX_n = col2vol(W^T * gy_n)
-          float* dcol = ws.alloc(static_cast<std::size_t>(CK * L));
-          backend::sgemm(backend::Trans::kYes, backend::Trans::kNo, CK, L, F,
-                         1.0f, pw, gy_n, 0.0f, dcol, &ws);
-          col2vol_accumulate(dcol, g, grads.gx.data() + n * in_slab);
-          if (had_bias) {
-            float* gb = gb_part.data() +
-                        static_cast<std::size_t>(worker) *
-                            static_cast<std::size_t>(F);
-            for (std::int64_t f = 0; f < F; ++f)
-              gb[f] += static_cast<float>(span_sum(gy_n + f * L, L));
-          }
-          ws.release(m);
-        }
-      },
-      /*grain=*/1);
-
-  reduce_grad_partials(grads, gw_part, gb_part, W, F, CK, had_bias);
-  return grads;
-}
-
-namespace {
-
-// Naive GEMM loops preserved verbatim from the seed so the reference conv
-// path below stays byte-for-byte the pre-backend baseline.
-void seed_mm(std::int64_t m, std::int64_t k, std::int64_t n, const float* pa,
-             const float* pb, float* pc) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = pc + i * n;
-    const float* arow = pa + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      if (aik == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void seed_mm_tn(std::int64_t k, std::int64_t m, std::int64_t n,
-                const float* pa, const float* pb, float* pc) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = pc + i * n;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[kk * m + i];
-      if (aik == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void seed_mm_nt(std::int64_t m, std::int64_t k, std::int64_t n,
-                const float* pa, const float* pb, float* pc) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = acc;
-    }
-  }
-}
-
-}  // namespace
-
-Tensor conv3d_forward_reference(const Tensor& x, const Tensor& weight,
-                                const Tensor& bias, const Conv3dSpec& spec) {
-  check_5d(x, "conv3d input");
-  check_5d(weight, "conv3d weight");
-  const Shape out_shape = conv3d_output_shape(x.shape(), weight.shape(), spec);
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const std::int64_t CK = g.C * g.KD * g.KH * g.KW;
-  const std::int64_t L = g.OD * g.OH * g.OW;
-  if (bias.defined())
-    MFN_CHECK(bias.ndim() == 1 && bias.dim(0) == F,
-              "conv3d bias shape " << bias.shape().str());
-
-  Tensor out(out_shape);
-  Tensor col(Shape{CK, L});
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-  for (std::int64_t n = 0; n < N; ++n) {
-    vol2col_reference(x.data() + n * in_slab, g, col.data());
-    Tensor y(Shape{F, L});
-    seed_mm(F, CK, L, weight.data(), col.data(), y.data());
-    float* po = out.data() + n * F * L;
-    const float* py = y.data();
-    if (bias.defined()) {
-      const float* pb = bias.data();
-      for (std::int64_t f = 0; f < F; ++f)
-        for (std::int64_t l = 0; l < L; ++l)
-          po[f * L + l] = py[f * L + l] + pb[f];
-    } else {
-      std::copy(py, py + F * L, po);
-    }
-  }
-  return out;
-}
-
-Conv3dGrads conv3d_backward_reference(const Tensor& x, const Tensor& weight,
-                                      bool had_bias, const Conv3dSpec& spec,
-                                      const Tensor& gy) {
-  const ColGeom g = make_geom(x.shape(), weight.shape(), spec);
-  const std::int64_t N = x.dim(0), F = weight.dim(0);
-  const std::int64_t CK = g.C * g.KD * g.KH * g.KW;
-  const std::int64_t L = g.OD * g.OH * g.OW;
-
-  Conv3dGrads grads;
-  grads.gx = Tensor::zeros(x.shape());
-  grads.gweight = Tensor::zeros(weight.shape());
-  if (had_bias) grads.gbias = Tensor::zeros(Shape{F});
-
-  Tensor gw2d = grads.gweight.reshape(Shape{F, CK});  // shares storage
-  Tensor col(Shape{CK, L});
-  const std::int64_t in_slab = g.C * g.D * g.H * g.W;
-
-  for (std::int64_t n = 0; n < N; ++n) {
-    vol2col_reference(x.data() + n * in_slab, g, col.data());
-    const float* gy_n = gy.data() + n * F * L;
-    // dW += gy_n * col^T
-    Tensor dw(Shape{F, CK});
-    seed_mm_nt(F, L, CK, gy_n, col.data(), dw.data());
-    add_(gw2d, dw);
-    // dX_n = col2vol(W^T * gy_n)
-    Tensor dcol(Shape{CK, L});
-    seed_mm_tn(F, CK, L, weight.data(), gy_n, dcol.data());
-    col2vol_accumulate(dcol.data(), g, grads.gx.data() + n * in_slab);
-    if (had_bias) {
-      float* pgb = grads.gbias.data();
-      for (std::int64_t f = 0; f < F; ++f) {
-        double acc = 0.0;
-        for (std::int64_t l = 0; l < L; ++l) acc += gy_n[f * L + l];
-        pgb[f] += static_cast<float>(acc);
-      }
-    }
-  }
+  reduce_grad_partials(grads, gw_part, gb_part, P, F, CK, had_bias);
   return grads;
 }
 

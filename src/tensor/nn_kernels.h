@@ -60,34 +60,18 @@ struct Conv3dGrads {
   Tensor gbias;   // (F); undefined when forward had no bias
 };
 
-/// Implicit-GEMM backward, batch-parallel with per-worker weight/bias
-/// partials reduced at the end. dW packs the transposed column operand
-/// straight from the volume; dX runs W^T x gy in NR-column strips
-/// (backend::sgemm_col_strips) with a fused col2vol scatter per strip, so
-/// neither the CKxL column matrix nor the dcol matrix exists. The bias
+/// Implicit-GEMM backward, parallel over fixed contiguous sample ranges
+/// with one weight/bias partial per range, reduced in range order at the
+/// end, so gweight/gbias are bitwise repeatable for a given pool size. dW
+/// packs the transposed column operand straight from the volume (the
+/// stride-1 "same" fast path runs it on a vol2col column matrix instead);
+/// dX runs W^T x gy in NR-column strips (backend::sgemm_col_strips) with a
+/// fused col2vol scatter per strip, or, on the fast path, as a conv of gy
+/// with the flipped kernel, so the dcol matrix never exists. The bias
 /// gradient row sums go through the vectorized reduction kernels.
 Conv3dGrads conv3d_backward(const Tensor& x, const Tensor& weight,
                             bool had_bias, const Conv3dSpec& spec,
                             const Tensor& gy);
-
-/// The PR 3 im2col paths (materialized CKxL column matrix + dense GEMM).
-/// Kept as the implicit-GEMM comparison baseline for parity tests and the
-/// bench_micro_ops implicit-vs-im2col perf line; the model never calls
-/// these.
-Tensor conv3d_forward_im2col(const Tensor& x, const Tensor& weight,
-                             const Tensor& bias, const Conv3dSpec& spec);
-Conv3dGrads conv3d_backward_im2col(const Tensor& x, const Tensor& weight,
-                                   bool had_bias, const Conv3dSpec& spec,
-                                   const Tensor& gy);
-
-/// Seed (v0) serial-batch implementations with naive per-sample GEMM
-/// loops. Kept solely as the comparison baseline for parity tests and the
-/// bench_micro_ops perf trajectory; the model never calls these.
-Tensor conv3d_forward_reference(const Tensor& x, const Tensor& weight,
-                                const Tensor& bias, const Conv3dSpec& spec);
-Conv3dGrads conv3d_backward_reference(const Tensor& x, const Tensor& weight,
-                                      bool had_bias, const Conv3dSpec& spec,
-                                      const Tensor& gy);
 
 // -------------------------------------------------------------- maxpool --
 struct MaxPool3dResult {

@@ -108,23 +108,19 @@ ThreadPool& ThreadPool::global() {
 
 bool ThreadPool::in_worker() { return t_in_worker; }
 
-int max_parallel_workers() { return ThreadPool::global().size() + 1; }
-
-void parallel_for_indexed(
-    std::int64_t n,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain) {
+void parallel_for(std::int64_t n,
+                  const std::function<void(std::int64_t, std::int64_t)>& fn,
+                  std::int64_t grain) {
   if (n <= 0) return;
   ThreadPool& pool = ThreadPool::global();
   const int nthreads = pool.size();
   if (n <= grain || nthreads <= 1 || ThreadPool::in_worker()) {
-    fn(0, 0, n);
+    fn(0, n);
     return;
   }
 
   // Dynamic chunk scheduling: workers and the calling thread all pull chunks
-  // from a shared atomic counter, so the caller is never idle. Each
-  // participant claims one stable worker slot for the whole call.
+  // from a shared atomic counter, so the caller is never idle.
   std::int64_t nchunks = std::min<std::int64_t>(
       static_cast<std::int64_t>(nthreads) * 4, (n + grain - 1) / grain);
   if (nchunks < 1) nchunks = 1;
@@ -132,7 +128,6 @@ void parallel_for_indexed(
 
   struct State {
     std::atomic<std::int64_t> next{0};
-    std::atomic<int> slot{0};
     std::atomic<int> active{0};
     std::mutex mu;
     std::condition_variable done;
@@ -140,7 +135,6 @@ void parallel_for_indexed(
   auto state = std::make_shared<State>();
 
   auto drain = [state, &fn, chunk, n, nchunks] {
-    const int worker = state->slot.fetch_add(1);
     // Mark every participant — including the calling thread — as "in
     // worker" while it drains. A nested parallel_for from the caller's
     // chunk must run serially just like one from a pool worker: if it
@@ -153,7 +147,7 @@ void parallel_for_indexed(
       if (c >= nchunks) break;
       const std::int64_t begin = c * chunk;
       const std::int64_t end = std::min<std::int64_t>(begin + chunk, n);
-      fn(worker, begin, end);
+      fn(begin, end);
     }
     t_in_worker = was_in_worker;
   };
@@ -173,13 +167,6 @@ void parallel_for_indexed(
   drain();  // caller participates
   std::unique_lock<std::mutex> lk(state->mu);
   state->done.wait(lk, [&] { return state->active.load() == 0; });
-}
-
-void parallel_for(std::int64_t n,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn,
-                  std::int64_t grain) {
-  parallel_for_indexed(
-      n, [&fn](int, std::int64_t b, std::int64_t e) { fn(b, e); }, grain);
 }
 
 void parallel_for_2d(

@@ -2,8 +2,8 @@
 // parallel_for helpers.
 //
 // Every compute kernel in the library funnels its parallelism through
-// parallel_for / parallel_for_indexed / parallel_for_2d, so thread count is
-// controlled in one place (MFN_NUM_THREADS env var or the pool size).
+// parallel_for / parallel_for_2d, so thread count is controlled in one
+// place (MFN_NUM_THREADS env var or the pool size).
 // Nested parallel_for calls from inside a worker run serially, which keeps
 // kernels composable without deadlock.
 #pragma once
@@ -59,23 +59,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Upper bound on the number of distinct `worker` ids parallel_for_indexed
-/// can hand out (pool workers + the calling thread).
-int max_parallel_workers();
-
-/// Run fn(worker, begin, end) over a partition of [0, n). `worker` is a
-/// stable id in [0, max_parallel_workers()) for the duration of the call:
-/// every chunk a given participant executes sees the same id, so callers
-/// can index per-worker scratch buffers race-free. Blocks until all chunks
-/// complete. Runs serially (worker == 0) when n <= grain, when the pool has
-/// a single thread, or when invoked from inside a pool worker.
-void parallel_for_indexed(
-    std::int64_t n,
-    const std::function<void(int, std::int64_t, std::int64_t)>& fn,
-    std::int64_t grain = 1);
-
-/// Run fn(begin, end) over a partition of [0, n). Same scheduling rules as
-/// parallel_for_indexed.
+/// Run fn(begin, end) over a partition of [0, n). Blocks until all chunks
+/// complete. Runs serially (one call over [0, n)) when n <= grain, when the
+/// pool has a single thread, or when invoked from inside a pool worker.
 void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
                   std::int64_t grain = 1);

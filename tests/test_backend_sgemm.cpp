@@ -1,7 +1,7 @@
 // Tests for the unified GEMM execution backend: sgemm against a naive
 // reference across transpose variants, alpha/beta, and odd shapes; the
-// Workspace arena; and conv3d forward/backward parity against the seed
-// serial-batch reference path.
+// Workspace arena; and conv3d forward/backward parity against the
+// direct-loop oracle (conv_oracle.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include "backend/sgemm.h"
 #include "backend/workspace.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -214,7 +215,7 @@ void check_conv_parity(const ConvCase& cc, unsigned seed) {
   Tensor b = cc.bias ? Tensor::randn(Shape{cc.F}, rng) : Tensor();
 
   Tensor y = conv3d_forward(x, w, b, cc.spec);
-  Tensor y_ref = conv3d_forward_reference(x, w, b, cc.spec);
+  Tensor y_ref = test::conv3d_ref(x, w, b, cc.spec);
   ASSERT_TRUE(y.shape() == y_ref.shape());
   EXPECT_TRUE(allclose(y, y_ref, 1e-5f, 1e-5f))
       << "forward mismatch, max |diff| = "
@@ -222,7 +223,7 @@ void check_conv_parity(const ConvCase& cc, unsigned seed) {
 
   Tensor gy = Tensor::randn(y.shape(), rng);
   Conv3dGrads g = conv3d_backward(x, w, cc.bias, cc.spec, gy);
-  Conv3dGrads g_ref = conv3d_backward_reference(x, w, cc.bias, cc.spec, gy);
+  Conv3dGrads g_ref = test::conv3d_backward_ref(x, w, cc.bias, cc.spec, gy);
   EXPECT_TRUE(allclose(g.gx, g_ref.gx, 1e-5f, 1e-4f))
       << "gx mismatch, max |diff| = " << max_abs(sub(g.gx, g_ref.gx));
   EXPECT_TRUE(allclose(g.gweight, g_ref.gweight, 1e-5f, 1e-4f))

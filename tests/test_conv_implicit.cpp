@@ -1,6 +1,7 @@
-// Implicit-GEMM conv3d: parity of the pack-seam / zero-pack paths against
-// the seed references across strides, paddings, and ragged channel counts,
-// under both SIMD tiers via the runtime dispatch seam; fused
+// Implicit-GEMM conv3d: parity of the pack-seam / zero-pack / pointwise
+// paths against the direct-loop oracle (conv_oracle.h) across strides,
+// paddings, and ragged channel counts, under both SIMD tiers via the
+// runtime dispatch seam; fused
 // conv->batchnorm(eval)->activation epilogues; the caching tensor
 // allocator under a real training step.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "backend/workspace.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
 #include "core/meshfree_flownet.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
@@ -56,26 +58,19 @@ void run_case(const ImplicitCase& p, bool force_scalar) {
   spec.stride = {p.stride, p.stride, p.stride};
   spec.padding = {p.pad, p.pad, p.pad};
 
-  Tensor ref = conv3d_forward_reference(x, w, b, spec);
+  Tensor ref = test::conv3d_ref(x, w, b, spec);
   Tensor y = conv3d_forward(x, w, b, spec);
-  expect_tensors_close(y, ref, 1e-3f, 1e-3f, "forward vs seed reference");
-  Tensor y2 = conv3d_forward_im2col(x, w, b, spec);
-  expect_tensors_close(y, y2, 1e-3f, 1e-3f, "implicit vs im2col");
+  expect_tensors_close(y, ref, 1e-3f, 1e-3f, "forward vs oracle");
 
   Rng grng(78);
   Tensor gy = Tensor::randn(ref.shape(), grng);
-  Conv3dGrads gref = conv3d_backward_reference(x, w, p.bias, spec, gy);
+  Conv3dGrads gref = test::conv3d_backward_ref(x, w, p.bias, spec, gy);
   Conv3dGrads g = conv3d_backward(x, w, p.bias, spec, gy);
-  expect_tensors_close(g.gx, gref.gx, 1e-3f, 1e-3f, "gx vs seed reference");
+  expect_tensors_close(g.gx, gref.gx, 1e-3f, 1e-3f, "gx vs oracle");
   expect_tensors_close(g.gweight, gref.gweight, 2e-3f, 2e-3f,
-                       "gweight vs seed reference");
+                       "gweight vs oracle");
   if (p.bias)
-    expect_tensors_close(g.gbias, gref.gbias, 2e-3f, 2e-3f,
-                         "gbias vs seed reference");
-  Conv3dGrads gi = conv3d_backward_im2col(x, w, p.bias, spec, gy);
-  expect_tensors_close(g.gx, gi.gx, 1e-3f, 1e-3f, "gx implicit vs im2col");
-  expect_tensors_close(g.gweight, gi.gweight, 2e-3f, 2e-3f,
-                       "gweight implicit vs im2col");
+    expect_tensors_close(g.gbias, gref.gbias, 2e-3f, 2e-3f, "gbias vs oracle");
 }
 
 class ImplicitConvSweep : public ::testing::TestWithParam<ImplicitCase> {};
@@ -118,12 +113,12 @@ TEST(ConvImplicit, AsymmetricSpecAndTallKernel) {
     spec.kernel = {1, 3, 5};
     spec.stride = {1, 2, 1};
     spec.padding = {0, 1, 2};
-    Tensor ref = conv3d_forward_reference(x, w, b, spec);
+    Tensor ref = test::conv3d_ref(x, w, b, spec);
     expect_tensors_close(conv3d_forward(x, w, b, spec), ref, 1e-3f, 1e-3f,
                          "asymmetric forward");
     Rng grng(6);
     Tensor gy = Tensor::randn(ref.shape(), grng);
-    Conv3dGrads gref = conv3d_backward_reference(x, w, true, spec, gy);
+    Conv3dGrads gref = test::conv3d_backward_ref(x, w, true, spec, gy);
     Conv3dGrads g = conv3d_backward(x, w, true, spec, gy);
     expect_tensors_close(g.gx, gref.gx, 1e-3f, 1e-3f, "asymmetric gx");
     expect_tensors_close(g.gweight, gref.gweight, 2e-3f, 2e-3f,

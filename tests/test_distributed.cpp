@@ -1,106 +1,18 @@
-// Distributed tests: barrier, ring all-reduce correctness across world
-// sizes (parameterized), data-parallel equivalence to gradient
-// accumulation, and the alpha-beta scaling model.
+// Distributed tests that need no network: the alpha-beta scaling model
+// and the effective-batch emulation behind the Fig. 7b/7c curves. The TCP
+// ring all-reduce is tested in test_tcp_channel, the multi-rank trainer in
+// test_dist_train.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cmath>
-#include <thread>
 
 #include "common/rng.h"
 #include "core/losses.h"
 #include "core/meshfree_flownet.h"
 #include "data/dataset.h"
-#include "distributed/allreduce.h"
 #include "distributed/comm_model.h"
 #include "distributed/data_parallel.h"
-#include "tensor/tensor_ops.h"
 
 namespace mfn::dist {
 namespace {
-
-TEST(Barrier, SynchronizesPhases) {
-  const int N = 4;
-  Barrier barrier(N);
-  std::atomic<int> phase0{0}, phase1{0};
-  std::vector<std::thread> ts;
-  for (int i = 0; i < N; ++i)
-    ts.emplace_back([&] {
-      phase0++;
-      barrier.arrive_and_wait();
-      EXPECT_EQ(phase0.load(), N);  // all arrived before anyone proceeds
-      phase1++;
-      barrier.arrive_and_wait();
-      EXPECT_EQ(phase1.load(), N);
-    });
-  for (auto& t : ts) t.join();
-}
-
-class AllReduceSweep : public ::testing::TestWithParam<std::tuple<int, int>> {
-};
-
-TEST_P(AllReduceSweep, AveragesAcrossRanks) {
-  const auto [W, n] = GetParam();
-  RingAllReducer reducer(W);
-  std::vector<std::vector<float>> bufs(static_cast<std::size_t>(W));
-  std::vector<double> expected(static_cast<std::size_t>(n), 0.0);
-  for (int r = 0; r < W; ++r) {
-    Rng rng(static_cast<std::uint64_t>(r) * 31 + 7);
-    bufs[static_cast<std::size_t>(r)].resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const float v = static_cast<float>(rng.normal());
-      bufs[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)] = v;
-      expected[static_cast<std::size_t>(i)] += v;
-    }
-  }
-  for (auto& e : expected) e /= W;
-
-  std::vector<std::thread> ts;
-  for (int r = 0; r < W; ++r)
-    ts.emplace_back([&, r] {
-      reducer.allreduce_average(
-          r, bufs[static_cast<std::size_t>(r)].data(), n);
-    });
-  for (auto& t : ts) t.join();
-
-  for (int r = 0; r < W; ++r)
-    for (int i = 0; i < n; ++i)
-      EXPECT_NEAR(bufs[static_cast<std::size_t>(r)]
-                      [static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)], 1e-5f)
-          << "rank " << r << " elem " << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorldsAndSizes, AllReduceSweep,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 7),
-                       ::testing::Values(1, 5, 64, 1000)));
-
-TEST(AllReduce, TensorListHelper) {
-  const int W = 3;
-  RingAllReducer reducer(W);
-  std::vector<std::vector<Tensor>> grads(static_cast<std::size_t>(W));
-  for (int r = 0; r < W; ++r) {
-    grads[static_cast<std::size_t>(r)].push_back(
-        Tensor::full(Shape{2, 2}, static_cast<float>(r)));
-    grads[static_cast<std::size_t>(r)].push_back(
-        Tensor::full(Shape{3}, static_cast<float>(10 * r)));
-  }
-  std::vector<std::thread> ts;
-  for (int r = 0; r < W; ++r)
-    ts.emplace_back([&, r] {
-      std::vector<Tensor*> ptrs;
-      for (auto& g : grads[static_cast<std::size_t>(r)]) ptrs.push_back(&g);
-      allreduce_average_tensors(reducer, r, ptrs);
-    });
-  for (auto& t : ts) t.join();
-  // mean of 0,1,2 = 1; mean of 0,10,20 = 10
-  for (int r = 0; r < W; ++r) {
-    EXPECT_NEAR(grads[static_cast<std::size_t>(r)][0].at({0, 0}), 1.0f,
-                1e-6f);
-    EXPECT_NEAR(grads[static_cast<std::size_t>(r)][1].at({1}), 10.0f, 1e-6f);
-  }
-}
 
 TEST(CommModel, SingleWorkerHasNoComm) {
   CommModelConfig cfg;
@@ -145,7 +57,7 @@ TEST(CommModel, EpochSecondsScalesDown) {
   EXPECT_GT(t1, 10.0 * t16);  // near-linear epoch speedup
 }
 
-// ---- data-parallel training on a tiny dataset ----
+// ---- effective-batch training on a tiny dataset ----
 class DataParallelIntegration : public ::testing::Test {
  protected:
   static data::SRPair& pair() {
@@ -183,26 +95,6 @@ class DataParallelIntegration : public ::testing::Test {
   }
 };
 
-TEST_F(DataParallelIntegration, TwoWorkersTrainAndStaySynchronized) {
-  Rng rng(1);
-  core::MeshfreeFlowNet model(tiny_config(), rng);
-  data::PatchSampler sampler(pair(), patch_config());
-  core::EquationLossConfig eq;
-  eq.constants = core::RBConstants::from_ra_pr(1e5, 1.0);
-  eq.cell_size = sampler.lr_cell_size();
-  eq.stats = pair().stats;
-
-  DataParallelConfig cfg;
-  cfg.world_size = 2;
-  cfg.epochs = 3;
-  cfg.patches_per_epoch = 8;
-  cfg.adam.lr = 3e-3;
-  auto stats = train_data_parallel(model, sampler, eq, cfg);
-  ASSERT_EQ(stats.epoch_loss.size(), 3u);
-  EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss.front());
-  EXPECT_GT(stats.samples_per_second, 0.0);
-}
-
 TEST_F(DataParallelIntegration, EffectiveBatchEmulationTrains) {
   Rng rng(2);
   core::MeshfreeFlowNet model(tiny_config(), rng);
@@ -217,26 +109,6 @@ TEST_F(DataParallelIntegration, EffectiveBatchEmulationTrains) {
                                     optim::AdamConfig{.lr = 3e-3});
   ASSERT_EQ(hist.size(), 3u);
   EXPECT_LT(hist.back(), hist.front());
-}
-
-TEST_F(DataParallelIntegration, WorldOneMatchesSequentialTrainer) {
-  // A world of 1 with the same seed path should behave like plain training
-  // (sanity link between the distributed and the single-node code paths).
-  Rng rng(3);
-  core::MeshfreeFlowNet model(tiny_config(), rng);
-  data::PatchSampler sampler(pair(), patch_config());
-  core::EquationLossConfig eq;
-  eq.constants = core::RBConstants::from_ra_pr(1e5, 1.0);
-  eq.cell_size = sampler.lr_cell_size();
-  eq.stats = pair().stats;
-
-  DataParallelConfig cfg;
-  cfg.world_size = 1;
-  cfg.epochs = 2;
-  cfg.patches_per_epoch = 4;
-  auto stats = train_data_parallel(model, sampler, eq, cfg);
-  EXPECT_EQ(stats.epoch_loss.size(), 2u);
-  for (double l : stats.epoch_loss) EXPECT_TRUE(std::isfinite(l));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the raw volumetric kernels: conv3d vs naive reference,
+// Tests for the raw volumetric kernels: conv3d vs the direct-loop oracle,
 // pooling/upsampling inverses, batchnorm statistics.
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "conv_oracle.h"
 #include "tensor/nn_kernels.h"
 #include "tensor/tensor_ops.h"
 
@@ -16,37 +17,6 @@ Tensor rand5d(std::int64_t n, std::int64_t c, std::int64_t d, std::int64_t h,
               std::int64_t w, std::uint64_t seed) {
   Rng rng(seed);
   return Tensor::randn(Shape{n, c, d, h, w}, rng);
-}
-
-// Direct (non-im2col) convolution reference.
-Tensor conv3d_ref(const Tensor& x, const Tensor& wgt, const Tensor& bias,
-                  const Conv3dSpec& s) {
-  const Shape os = conv3d_output_shape(x.shape(), wgt.shape(), s);
-  Tensor out(os);
-  const std::int64_t N = os[0], F = os[1], OD = os[2], OH = os[3], OW = os[4];
-  const std::int64_t C = x.dim(1), D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const std::int64_t KD = wgt.dim(2), KH = wgt.dim(3), KW = wgt.dim(4);
-  for (std::int64_t n = 0; n < N; ++n)
-    for (std::int64_t f = 0; f < F; ++f)
-      for (std::int64_t od = 0; od < OD; ++od)
-        for (std::int64_t oh = 0; oh < OH; ++oh)
-          for (std::int64_t ow = 0; ow < OW; ++ow) {
-            double acc = bias.defined() ? bias.at({f}) : 0.0;
-            for (std::int64_t c = 0; c < C; ++c)
-              for (std::int64_t kd = 0; kd < KD; ++kd)
-                for (std::int64_t kh = 0; kh < KH; ++kh)
-                  for (std::int64_t kw = 0; kw < KW; ++kw) {
-                    const std::int64_t d = od * s.stride[0] - s.padding[0] + kd;
-                    const std::int64_t h = oh * s.stride[1] - s.padding[1] + kh;
-                    const std::int64_t w = ow * s.stride[2] - s.padding[2] + kw;
-                    if (d < 0 || d >= D || h < 0 || h >= H || w < 0 || w >= W)
-                      continue;
-                    acc += static_cast<double>(x.at({n, c, d, h, w})) *
-                           wgt.at({f, c, kd, kh, kw});
-                  }
-            out.at({n, f, od, oh, ow}) = static_cast<float>(acc);
-          }
-  return out;
 }
 
 struct ConvCase {
@@ -67,7 +37,7 @@ TEST_P(ConvSweep, ForwardMatchesReference) {
   spec.stride = {1, 1, 1};
   spec.padding = {p.K / 2, p.K / 2, p.K / 2};
   Tensor y = conv3d_forward(x, w, b, spec);
-  Tensor ref = conv3d_ref(x, w, b, spec);
+  Tensor ref = test::conv3d_ref(x, w, b, spec);
   EXPECT_TRUE(allclose(y, ref, 1e-3f, 1e-3f));
 }
 

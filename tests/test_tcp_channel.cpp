@@ -247,7 +247,12 @@ INSTANTIATE_TEST_SUITE_P(
     Worlds, AllReduceWorlds,
     ::testing::Values(std::make_tuple(1, 64), std::make_tuple(2, 7),
                       std::make_tuple(2, 4096), std::make_tuple(3, 1000),
-                      std::make_tuple(4, 257)),
+                      std::make_tuple(4, 257),
+                      // fewer elements than ranks: empty ring chunks
+                      std::make_tuple(3, 1), std::make_tuple(4, 1),
+                      std::make_tuple(7, 5),
+                      // an odd world with ragged chunks
+                      std::make_tuple(7, 1000)),
     [](const auto& info) {
       return "w" + std::to_string(std::get<0>(info.param)) + "_n" +
              std::to_string(std::get<1>(info.param));

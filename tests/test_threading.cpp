@@ -1,14 +1,26 @@
-// Unit tests for the thread pool and parallel_for.
+// Unit tests for the thread pool and parallel_for, and the run-to-run
+// determinism of the conv3d backward's batch reduction on the pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "common/rng.h"
+#include "tensor/nn_kernels.h"
 #include "threading/thread_pool.h"
 
 namespace mfn {
 namespace {
+
+// Real concurrency even on single-core hosts (runs before the first
+// ThreadPool::global() touch). An explicit MFN_NUM_THREADS wins.
+const bool kForcePool = [] {
+  setenv("MFN_NUM_THREADS", "4", /*overwrite=*/0);
+  return true;
+}();
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
   for (std::int64_t n : {0, 1, 2, 7, 100, 1023, 4096}) {
@@ -57,33 +69,6 @@ TEST(ParallelFor, RespectsGrain) {
       },
       /*grain=*/100);
   EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ParallelForIndexed, WorkerIdsAreStableAndInRange) {
-  const int maxw = max_parallel_workers();
-  EXPECT_GE(maxw, 1);
-  // Per-worker scratch indexed by the id must never race: count chunk
-  // executions per slot and verify ids stay in range and sum to full
-  // coverage.
-  std::vector<std::atomic<std::int64_t>> per_worker(
-      static_cast<std::size_t>(maxw));
-  const std::int64_t n = 10000;
-  parallel_for_indexed(n, [&](int worker, std::int64_t b, std::int64_t e) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, maxw);
-    per_worker[static_cast<std::size_t>(worker)] += e - b;
-  });
-  std::int64_t total = 0;
-  for (auto& c : per_worker) total += c.load();
-  EXPECT_EQ(total, n);
-}
-
-TEST(ParallelForIndexed, SerialPathUsesWorkerZero) {
-  int seen = -1;
-  parallel_for_indexed(
-      5, [&](int worker, std::int64_t, std::int64_t) { seen = worker; },
-      /*grain=*/100);
-  EXPECT_EQ(seen, 0);
 }
 
 TEST(ParallelFor2d, TilesCoverRangeExactlyOnce) {
@@ -146,6 +131,38 @@ TEST(ThreadPool, ResolveThreadCountSanitizesEnv) {
   // Unknown hardware (0) falls back to a single thread.
   EXPECT_EQ(ThreadPool::resolve_thread_count(nullptr, 0), 1);
   EXPECT_EQ(ThreadPool::resolve_thread_count("bad", 0), 1);
+}
+
+// conv3d_backward sums weight/bias gradients over the batch from parallel
+// per-range partials; the grouping and summation order must not depend on
+// which worker ran which samples, so repeated calls agree to the bit.
+TEST(ConvBackwardOnPool, WeightAndBiasGradsBitwiseRepeatable) {
+  ASSERT_GE(ThreadPool::global().size(), 2) << "needs a multi-thread pool";
+  Rng rng(61);
+  // Stride-1 "same" (fast path) and stride-2 (packed seam) geometries, with
+  // more samples than workers so ranges hold several samples, and enough
+  // work per sample that every pool worker takes part (a worker-indexed
+  // reduction fails this on its first repeat).
+  for (const std::int64_t stride : {1, 2}) {
+    Tensor x = Tensor::randn(Shape{16, 8, 4, 16, 16}, rng);
+    Tensor w = Tensor::randn(Shape{8, 8, 3, 3, 3}, rng, 0.3f);
+    Conv3dSpec spec;
+    spec.stride = {stride, stride, stride};
+    Tensor gy =
+        Tensor::randn(conv3d_output_shape(x.shape(), w.shape(), spec), rng);
+    const Conv3dGrads first = conv3d_backward(x, w, true, spec, gy);
+    for (int rep = 0; rep < 20; ++rep) {
+      const Conv3dGrads again = conv3d_backward(x, w, true, spec, gy);
+      ASSERT_EQ(std::memcmp(first.gweight.data(), again.gweight.data(),
+                            sizeof(float) * first.gweight.numel()),
+                0)
+          << "gweight differs on repeat " << rep << ", stride " << stride;
+      ASSERT_EQ(std::memcmp(first.gbias.data(), again.gbias.data(),
+                            sizeof(float) * first.gbias.numel()),
+                0)
+          << "gbias differs on repeat " << rep << ", stride " << stride;
+    }
+  }
 }
 
 TEST(ThreadPool, SubmitRuns) {

@@ -60,8 +60,6 @@
 // high-water marks) after it finishes. MFN_FAILPOINTS is parsed at
 // startup for every command (failpoint::arm_from_env), so spawned
 // subprocesses can be fault-injected without code changes.
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -84,6 +82,7 @@
 #include "core/meshfree_flownet.h"
 #include "core/trainer.h"
 #include "data/dataset.h"
+#include "distributed/tcp_channel.h"
 #include "distributed/worker.h"
 #include "metrics/comparison.h"
 #include "serve/serve_bench.h"
@@ -701,29 +700,11 @@ int cmd_train_worker(const Args& args) {
   return 0;
 }
 
-/// Bind port 0 on loopback to let the kernel pick a free port. The tiny
-/// close-to-reuse race is acceptable for a single-machine launcher.
-int pick_free_port() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  MFN_CHECK(fd >= 0, "socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  MFN_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) == 0,
-            "bind failed picking a free port");
-  socklen_t len = sizeof(addr);
-  MFN_CHECK(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-            "getsockname failed");
-  ::close(fd);
-  return static_cast<int>(ntohs(addr.sin_port));
-}
-
 int cmd_dist_train(const Args& args, const char* self) {
   const int world = static_cast<int>(args.integer("world", 2));
   MFN_CHECK(world >= 1, "--world must be >= 1");
   int port = static_cast<int>(args.integer("port", 0));
-  if (port == 0) port = pick_free_port();
+  if (port == 0) port = dist::pick_free_port();
   const int inject_rank = static_cast<int>(args.integer("inject-rank", -1));
   const std::string inject = args.str("inject", "");
   const int delay_rank = static_cast<int>(args.integer("delay-rank", -1));
